@@ -143,9 +143,8 @@ EvalEngine::drain()
         double *slot;
     };
     /**
-     * One job's pending points routed through the batched statevector
-     * sweep (point-aware resolution); executed as a single lane-group
-     * batch inside the fan-out.
+     * One statevector job's pending points swept through lane groups;
+     * executed as a single batch inside the fan-out.
      */
     struct BatchTask
     {
@@ -184,8 +183,7 @@ EvalEngine::drain()
     memoStage.emplace("engine.drain.memo", "worker.execute");
     obs::Profiler &profiler = obs::Profiler::global();
     for (const JobPtr &job : jobs) {
-        EvalBackend kind =
-            resolveBackend(job->spec, job->graph, job->params.size());
+        EvalBackend kind = resolveBackend(job->spec, job->graph);
         if (profiler.enabled())
             profiler.count(std::string("backend.") + backendName(kind));
         if (!deterministicBackend(kind)) {
@@ -195,11 +193,15 @@ EvalEngine::drain()
         deterministicJobs.push_back(job);
         std::shared_ptr<CutEvaluator> ev =
             cachedEvaluator(job->graph, job->spec, kind);
-        // The batched sweep needs the cut-table access only the exact
-        // evaluator has; a foreign registration falls back to the
-        // per-point path (values are identical either way).
+        // Lane sweeping is how the drain executes a statevector job
+        // carrying at least one full lane group of points, not a
+        // backend: the values, the memo key and the store key are the
+        // per-point ones. The sweep needs the cut-table access only
+        // the exact evaluator has; a foreign registration falls back
+        // to the per-point path (values are identical either way).
         const ExactEvaluator *batchedEval =
-            kind == EvalBackend::StatevectorBatched
+            kind == EvalBackend::Statevector &&
+                    job->params.size() >= kBatchedPointsThreshold
                 ? dynamic_cast<const ExactEvaluator *>(ev.get())
                 : nullptr;
         std::unique_ptr<BatchTask> task;

@@ -199,11 +199,13 @@ class EvalEngine
      * Execute every pending job: deterministic points from all jobs
      * (minus memo hits) fan out over the global pool in one shot;
      * trajectory jobs then run as whole batches in submission order.
-     * Jobs the point-aware resolveBackend overload promotes to the
-     * batched statevector backend (Auto specs carrying >=
-     * kBatchedPointsThreshold points on an exact-sized graph) sweep
-     * their points through BatchedStateSet lane groups instead of
-     * per-point tasks — byte-identical values, fewer table passes.
+     * How a statevector job's points are swept is the drain's choice:
+     * a job carrying >= kBatchedPointsThreshold points runs as one
+     * lane-group task through ExactEvaluator::batchExpectationInto,
+     * a smaller one as per-point tasks. Both
+     * give the same bytes, so both read and fill the same memo and
+     * store entries: a point computed in a large job is a hit when it
+     * comes back alone, and the reverse.
      */
     void drain();
 

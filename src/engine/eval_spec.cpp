@@ -14,8 +14,6 @@ backendName(EvalBackend kind)
         return "auto";
     case EvalBackend::Statevector:
         return "statevector";
-    case EvalBackend::StatevectorBatched:
-        return "statevector_batched";
     case EvalBackend::AnalyticP1:
         return "analytic-p1";
     case EvalBackend::Lightcone:
@@ -71,17 +69,6 @@ resolveBackend(const EvalSpec &spec, const Graph &g)
     return EvalBackend::Lightcone;
 }
 
-EvalBackend
-resolveBackend(const EvalSpec &spec, const Graph &g, std::size_t points)
-{
-    EvalBackend kind = resolveBackend(spec, g);
-    if (spec.backend == EvalBackend::Auto &&
-        kind == EvalBackend::Statevector &&
-        points >= kBatchedPointsThreshold)
-        return EvalBackend::StatevectorBatched;
-    return kind;
-}
-
 bool
 deterministicBackend(EvalBackend kind)
 {
@@ -107,13 +94,11 @@ backendCacheKey(const EvalSpec &spec, EvalBackend kind)
     std::string key = backendName(kind);
     switch (kind) {
     case EvalBackend::Statevector:
-    case EvalBackend::StatevectorBatched:
     case EvalBackend::AnalyticP1:
         // Depth- and limit-independent: the evaluator answers any
-        // params (AnalyticP1 only ever sees p = 1 queries). The
-        // batched statevector keeps its own key namespace: a point
-        // computed under one sweep shape misses the other's memo, but
-        // byte-identity makes the recomputation value-invisible.
+        // params (AnalyticP1 only ever sees p = 1 queries). How the
+        // engine sweeps a statevector job (per point or in lane
+        // groups) is not part of the key: both give the same bytes.
         return key;
     case EvalBackend::Lightcone: {
         char buf[48];

@@ -16,7 +16,6 @@
 #include <string>
 
 #include "graph/graph.hpp"
-#include "quantum/batched_kernels.hpp"
 #include "quantum/noise.hpp"
 
 namespace redqaoa {
@@ -26,27 +25,10 @@ enum class EvalBackend
 {
     Auto,        //!< Resolve per (graph, spec); see resolveBackend().
     Statevector, //!< Exact 2^n simulation (ExactEvaluator).
-    /**
-     * Exact 2^n simulation advancing kBatchLanes statevectors per
-     * table pass (BatchedExactEvaluator over BatchedStateSet).
-     * Byte-identical to Statevector at every thread count — the
-     * point-aware resolveBackend overload prefers it for multi-point
-     * jobs, and pinning it is always safe.
-     */
-    StatevectorBatched,
     AnalyticP1,  //!< Closed-form p=1 (AnalyticEvaluator).
     Lightcone,   //!< Per-edge cones (LightconeCutEvaluator).
     Trajectory,  //!< Pauli-trajectory noise (NoisyEvaluator).
 };
-
-/**
- * Deterministic points on one graph at or above which multi-point
- * surfaces (EvalEngine::drain, ExactEvaluator::batchExpectation)
- * prefer the batched statevector path: below one full lane group the
- * padded lanes would do more arithmetic than they save.
- */
-constexpr std::size_t kBatchedPointsThreshold =
-    static_cast<std::size_t>(batched::kBatchLanes);
 
 /** Registry name of a backend ("auto", "statevector", ...). */
 const char *backendName(EvalBackend kind);
@@ -93,17 +75,6 @@ struct EvalSpec
  * Lightcone above. Non-Auto specs pass through unchanged.
  */
 EvalBackend resolveBackend(const EvalSpec &spec, const Graph &g);
-
-/**
- * Point-aware resolution: like resolveBackend(spec, g), but an Auto
- * spec that lands on Statevector is promoted to StatevectorBatched
- * when the job carries at least kBatchedPointsThreshold points (the
- * two backends are byte-identical, so the promotion is invisible in
- * values — it only changes how the work is swept). Pinned non-Auto
- * specs always pass through unchanged.
- */
-EvalBackend resolveBackend(const EvalSpec &spec, const Graph &g,
-                           std::size_t points);
 
 /**
  * True when the resolved backend is a pure function of (graph, spec,

@@ -37,7 +37,7 @@ struct OptResult
 struct OptOptions
 {
     int maxEvaluations = 200;
-    double initialStep = 0.4; //!< Simplex edge / trust radius (radians).
+    double initialStep = 0.4; //!< Starting trust radius (radians).
     double tolerance = 1e-6;  //!< Convergence threshold on spread.
 };
 
@@ -51,7 +51,7 @@ class Optimizer
     virtual OptResult minimize(const Objective &f,
                                const std::vector<double> &x0) const = 0;
 
-    /** Identifier for logs ("nelder-mead", "cobyla-lite", "spsa"). */
+    /** Identifier for logs (e.g. "cobyla-lite"). */
     virtual std::string name() const = 0;
 };
 

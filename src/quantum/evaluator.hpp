@@ -15,6 +15,7 @@
 
 #include "graph/graph.hpp"
 #include "quantum/analytic_p1.hpp"
+#include "quantum/batched_kernels.hpp"
 #include "quantum/lightcone.hpp"
 #include "quantum/maxcut.hpp"
 #include "quantum/noise.hpp"
@@ -57,6 +58,15 @@ class CutEvaluator
      */
     virtual bool concurrentSafe() const { return false; }
 };
+
+/**
+ * Deterministic points on one graph at or above which multi-point
+ * surfaces (ExactEvaluator::batchExpectation, EvalEngine::drain) sweep
+ * the exact statevector through lane groups: below one full group the
+ * padded lanes would do more arithmetic than they save.
+ */
+constexpr std::size_t kBatchedPointsThreshold =
+    static_cast<std::size_t>(batched::kBatchLanes);
 
 /** Exact statevector backend (ideal execution). */
 class ExactEvaluator : public CutEvaluator
@@ -103,25 +113,6 @@ class ExactEvaluator : public CutEvaluator
 
   private:
     QaoaSimulator sim_;
-};
-
-/**
- * The `statevector_batched` registry backend: an ExactEvaluator whose
- * construction pins the batched sweep explicitly (the point-aware
- * resolveBackend overload prefers it for multi-point jobs; see
- * EvalBackend::StatevectorBatched). Single-point expectation() is the
- * plain scalar path — the two backends differ only in how batches are
- * swept, never in values.
- */
-class BatchedExactEvaluator : public ExactEvaluator
-{
-  public:
-    using ExactEvaluator::ExactEvaluator;
-
-    std::string describe() const override
-    {
-        return "statevector_batched";
-    }
 };
 
 /** Pauli-trajectory noisy backend. */

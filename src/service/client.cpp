@@ -436,21 +436,5 @@ ServiceClient::pipeline(const PipelineRequest &req)
     return call("pipeline", req.toParams(), req.deadlineMs);
 }
 
-// ---------------------------------------------------------------------
-// Deprecated wrappers
-// ---------------------------------------------------------------------
-
-std::vector<double>
-ServiceClient::evaluate(const Graph &g,
-                        const std::vector<QaoaParams> &points,
-                        json::Value spec)
-{
-    EvaluateRequest req;
-    req.graph = g;
-    req.points = points;
-    req.spec = std::move(spec);
-    return evaluate(req).values;
-}
-
 } // namespace service
 } // namespace redqaoa

@@ -17,8 +17,7 @@
  * payloads, and hello() probes the server's capabilities (protocol
  * versions, shard count, queue/connection bounds). The raw call() /
  * rawExchange() escape hatches remain for protocol tests and methods
- * without a typed wrapper. The PR 5 call signatures survive as thin
- * deprecated wrappers for one release.
+ * without a typed wrapper.
  *
  * A client created with ConnectOptions speaks schema_version 2 by
  * default (responses carry routing metadata, exposed via lastRoute());
@@ -272,14 +271,6 @@ class ServiceClient
 
     /** Cumulative reconnects after transport failures. */
     std::uint64_t reconnects() const { return reconnects_; }
-
-    // --- Deprecated PR 5 call signatures (thin wrappers) -------------
-
-    /** evaluate: <H_c> at every point. */
-    [[deprecated("use evaluate(const EvaluateRequest &)")]]
-    std::vector<double> evaluate(const Graph &g,
-                                 const std::vector<QaoaParams> &points,
-                                 json::Value spec = json::Value());
 
   private:
     explicit ServiceClient(int fd);

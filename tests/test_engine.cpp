@@ -16,7 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <bit>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -24,6 +29,7 @@
 #include "engine/engine_shard_set.hpp"
 #include "engine/eval_engine.hpp"
 #include "engine/fleet.hpp"
+#include "engine/result_store.hpp"
 #include "graph/generators.hpp"
 #include "landscape/landscape.hpp"
 
@@ -102,43 +108,30 @@ TEST(BackendRegistry, DuplicateRegistrationThrows)
                  std::invalid_argument);
 }
 
-TEST(BackendRegistry, PointAwareResolutionPromotesMultiPointJobs)
+TEST(BackendRegistry, ResolutionIgnoresSweepShape)
 {
     Graph small = smallGraph();
     Graph large = largeGraph();
-    std::vector<QaoaParams> pts; // Only the count matters here.
 
-    // Auto specs that resolve to the statevector backend promote to
-    // the batched sweep at kBatchedPointsThreshold points, not before.
-    EXPECT_EQ(resolveBackend(EvalSpec::ideal(2), small,
-                             kBatchedPointsThreshold - 1),
+    // An exact-sized Auto spec resolves to the one statevector backend
+    // and key, however many points its jobs carry: lane sweeping is a
+    // drain choice, not a backend.
+    EXPECT_EQ(resolveBackend(EvalSpec::ideal(2), small),
               EvalBackend::Statevector);
-    EXPECT_EQ(resolveBackend(EvalSpec::ideal(2), small,
-                             kBatchedPointsThreshold),
-              EvalBackend::StatevectorBatched);
-    EXPECT_EQ(resolveBackend(EvalSpec::ideal(2), small, 100),
-              EvalBackend::StatevectorBatched);
+    EXPECT_EQ(backendCacheKey(EvalSpec::ideal(2), EvalBackend::Statevector),
+              "statevector");
 
-    // Non-statevector resolutions never promote, whatever the count.
-    EXPECT_EQ(resolveBackend(EvalSpec::ideal(1), large, 100),
+    // Non-statevector resolutions.
+    EXPECT_EQ(resolveBackend(EvalSpec::ideal(1), large),
               EvalBackend::AnalyticP1);
-    EXPECT_EQ(resolveBackend(EvalSpec::ideal(2), large, 100),
+    EXPECT_EQ(resolveBackend(EvalSpec::ideal(2), large),
               EvalBackend::Lightcone);
 
-    // A pinned backend is a caller decision; the point count cannot
-    // override it.
+    // A pinned backend is a caller decision and passes through.
     EvalSpec pinned = EvalSpec::ideal(2);
     pinned.backend = EvalBackend::Statevector;
-    EXPECT_EQ(resolveBackend(pinned, small, 100),
-              EvalBackend::Statevector);
-
-    // The pinned batched backend constructs and labels itself.
-    EvalSpec batched_spec = EvalSpec::ideal(2);
-    batched_spec.backend = EvalBackend::StatevectorBatched;
-    EXPECT_EQ(makeEvaluator(small, batched_spec)->describe(),
-              "statevector_batched");
-    EXPECT_EQ(backendName(EvalBackend::StatevectorBatched),
-              std::string("statevector_batched"));
+    EXPECT_EQ(resolveBackend(pinned, small), EvalBackend::Statevector);
+    EXPECT_EQ(resolveBackend(pinned, large), EvalBackend::Statevector);
 }
 
 TEST(EvalEngine, BatchedJobsBitIdenticalToDirectEvaluator)
@@ -171,6 +164,129 @@ TEST(EvalEngine, BatchedJobsBitIdenticalToDirectEvaluator)
     }
     for (std::size_t r = 1; r < runs.size(); ++r)
         EXPECT_EQ(runs[0], runs[r]) << "run " << r;
+}
+
+/** One point per job, in order (the 1-point service request shape). */
+std::vector<double>
+evaluateOneByOne(EvalEngine &engine, const Graph &g, const EvalSpec &spec,
+                 const std::vector<QaoaParams> &pts)
+{
+    std::vector<double> out;
+    for (const QaoaParams &p : pts)
+        out.push_back(engine.evaluate(g, spec, {p}).front());
+    return out;
+}
+
+TEST(EvalEngine, LaneAndPointJobsShareOneMemoKey)
+{
+    // A point computed inside a lane-swept job is a memo hit when it
+    // comes back as a 1-point job, and the reverse: both sweep shapes
+    // fill and read one statevector memo entry per value.
+    PoolGuard guard;
+    ThreadPool::setGlobalThreads(2);
+    Graph g = smallGraph();
+    Rng prng(91);
+    auto pts = randomParameterSets(2, kBatchedPointsThreshold + 4, prng);
+    const EvalSpec spec = EvalSpec::ideal(2);
+
+    {
+        EvalEngine engine;
+        auto swept = engine.evaluate(g, spec, pts);
+        EXPECT_EQ(engine.stats().evaluated, pts.size());
+        auto single = evaluateOneByOne(engine, g, spec, pts);
+        EXPECT_EQ(single, swept);
+        EXPECT_EQ(engine.stats().memoHits, pts.size());
+        EXPECT_EQ(engine.stats().evaluated, pts.size());
+    }
+    {
+        EvalEngine engine;
+        auto single = evaluateOneByOne(engine, g, spec, pts);
+        EXPECT_EQ(engine.stats().evaluated, pts.size());
+        auto swept = engine.evaluate(g, spec, pts);
+        EXPECT_EQ(swept, single);
+        EXPECT_EQ(engine.stats().memoHits, pts.size());
+        EXPECT_EQ(engine.stats().evaluated, pts.size());
+    }
+}
+
+/** Fresh store directory under the test temp root, removed on exit. */
+class TempStoreDir
+{
+  public:
+    TempStoreDir()
+    {
+        static int counter = 0;
+        path_ = std::filesystem::path(::testing::TempDir()) /
+                ("engine_store_" + std::to_string(::getpid()) + "_" +
+                 std::to_string(counter++));
+        std::filesystem::remove_all(path_);
+    }
+    ~TempStoreDir() { std::filesystem::remove_all(path_); }
+
+    std::string str() const { return path_.string(); }
+
+  private:
+    std::filesystem::path path_;
+};
+
+/** The store's point key: depth, then gamma and beta as exact bits. */
+std::vector<std::uint64_t>
+storedParamBits(const QaoaParams &p)
+{
+    std::vector<std::uint64_t> bits{
+        static_cast<std::uint64_t>(p.gamma.size())};
+    for (double v : p.gamma)
+        bits.push_back(std::bit_cast<std::uint64_t>(v));
+    for (double v : p.beta)
+        bits.push_back(std::bit_cast<std::uint64_t>(v));
+    return bits;
+}
+
+TEST(EvalEngine, LaneAndPointJobsShareOneStoreKey)
+{
+    // Every persisted point sits under the single `statevector` spec
+    // key, so a later lifetime serves it warm in either sweep shape.
+    PoolGuard guard;
+    ThreadPool::setGlobalThreads(2);
+    Graph g = smallGraph();
+    Rng prng(92);
+    auto pts = randomParameterSets(2, kBatchedPointsThreshold + 4, prng);
+    const EvalSpec spec = EvalSpec::ideal(2);
+    const std::vector<double> direct = EvalEngine().evaluate(g, spec, pts);
+
+    for (bool sweep_first : {true, false}) {
+        SCOPED_TRACE(sweep_first ? "lane sweep first" : "1-point first");
+        TempStoreDir dir;
+        {
+            EvalEngine engine;
+            engine.attachStore(std::make_shared<ResultStore>(dir.str()));
+            if (sweep_first)
+                EXPECT_EQ(engine.evaluate(g, spec, pts), direct);
+            else
+                EXPECT_EQ(evaluateOneByOne(engine, g, spec, pts), direct);
+            EXPECT_EQ(engine.stats().store.records, pts.size());
+
+            ResultStore &store = *engine.store();
+            const std::string graph_key = engine.storeKeyFor(g);
+            for (std::size_t i = 0; i < pts.size(); ++i) {
+                double value = 0.0;
+                ASSERT_TRUE(store.lookupPoint(
+                    graph_key, "statevector", graphStructureHash(g),
+                    storedParamBits(pts[i]), value))
+                    << "i=" << i;
+                EXPECT_EQ(value, direct[i]) << "i=" << i;
+            }
+        }
+        // A new lifetime asks in the other shape: all warm, none fresh.
+        EvalEngine engine;
+        engine.attachStore(std::make_shared<ResultStore>(dir.str()));
+        if (sweep_first)
+            EXPECT_EQ(evaluateOneByOne(engine, g, spec, pts), direct);
+        else
+            EXPECT_EQ(engine.evaluate(g, spec, pts), direct);
+        EXPECT_EQ(engine.stats().store.warmHits, pts.size());
+        EXPECT_EQ(engine.stats().evaluated, 0u);
+    }
 }
 
 TEST(EvalEngine, BitIdenticalToDirectAtOneThread)

@@ -1,8 +1,9 @@
 /**
  * @file
- * Optimizer tests on standard benchmark functions plus QAOA-shaped
- * objectives: all three derivative-free methods must reach known optima,
- * honor evaluation budgets, and produce monotone best-so-far traces.
+ * Optimizer tests on standard benchmark functions: COBYLA-lite (the
+ * optimizer the paper and every pipeline use) must reach known optima,
+ * honor evaluation budgets, and produce monotone best-so-far traces;
+ * the grid and random searches must cover their domains.
  */
 
 #include <gtest/gtest.h>
@@ -11,8 +12,6 @@
 
 #include "opt/cobyla_lite.hpp"
 #include "opt/grid_search.hpp"
-#include "opt/nelder_mead.hpp"
-#include "opt/spsa.hpp"
 
 namespace redqaoa {
 namespace {
@@ -50,34 +49,6 @@ shiftedQuadratic(const std::vector<double> &x)
     return s;
 }
 
-TEST(NelderMead, SolvesSphere)
-{
-    OptOptions opts;
-    opts.maxEvaluations = 400;
-    NelderMead nm(opts);
-    auto res = nm.minimize(sphere, {2.0, -1.5, 0.7});
-    EXPECT_LT(res.value, 1e-4);
-}
-
-TEST(NelderMead, SolvesShiftedQuadratic)
-{
-    OptOptions opts;
-    opts.maxEvaluations = 300;
-    NelderMead nm(opts);
-    auto res = nm.minimize(shiftedQuadratic, {0.0, 0.0});
-    EXPECT_NEAR(res.x[0], 1.5, 0.02);
-    EXPECT_NEAR(res.x[1], -0.7, 0.02);
-}
-
-TEST(NelderMead, MakesProgressOnRosenbrock)
-{
-    OptOptions opts;
-    opts.maxEvaluations = 800;
-    NelderMead nm(opts);
-    auto res = nm.minimize(rosenbrock, {-1.0, 1.0});
-    EXPECT_LT(res.value, rosenbrock({-1.0, 1.0}) * 0.05);
-}
-
 TEST(CobylaLite, SolvesSphere)
 {
     OptOptions opts;
@@ -97,38 +68,22 @@ TEST(CobylaLite, SolvesShiftedQuadratic)
     EXPECT_NEAR(res.x[1], -0.7, 0.05);
 }
 
-TEST(Spsa, ImprovesSphere)
-{
-    OptOptions opts;
-    opts.maxEvaluations = 600;
-    Spsa spsa(opts, 3);
-    auto res = spsa.minimize(sphere, {1.0, -1.0});
-    EXPECT_LT(res.value, 0.2);
-}
-
-TEST(AllOptimizers, RespectEvaluationBudget)
+TEST(CobylaLite, RespectsEvaluationBudget)
 {
     OptOptions opts;
     opts.maxEvaluations = 50;
-    for (const Optimizer *o :
-         std::initializer_list<const Optimizer *>{
-             new NelderMead(opts), new CobylaLite(opts),
-             new Spsa(opts, 1)}) {
-        auto res = o->minimize(sphere, {1.0, 1.0, 1.0});
-        EXPECT_LE(res.evaluations, opts.maxEvaluations + 4) << o->name();
-        EXPECT_EQ(res.trace.size(),
-                  static_cast<std::size_t>(res.evaluations))
-            << o->name();
-        delete o;
-    }
+    CobylaLite cob(opts);
+    auto res = cob.minimize(sphere, {1.0, 1.0, 1.0});
+    EXPECT_LE(res.evaluations, opts.maxEvaluations + 4);
+    EXPECT_EQ(res.trace.size(), static_cast<std::size_t>(res.evaluations));
 }
 
-TEST(AllOptimizers, TraceIsMonotoneNonIncreasing)
+TEST(CobylaLite, TraceIsMonotoneNonIncreasing)
 {
     OptOptions opts;
     opts.maxEvaluations = 120;
-    NelderMead nm(opts);
-    auto res = nm.minimize(rosenbrock, {0.5, -0.5});
+    CobylaLite cob(opts);
+    auto res = cob.minimize(rosenbrock, {0.5, -0.5});
     for (std::size_t i = 1; i < res.trace.size(); ++i)
         EXPECT_LE(res.trace[i], res.trace[i - 1] + 1e-15);
 }
@@ -137,10 +92,10 @@ TEST(MultiRestart, KeepsAllRunsAndFindsBest)
 {
     OptOptions opts;
     opts.maxEvaluations = 80;
-    NelderMead nm(opts);
+    CobylaLite cob(opts);
     Rng rng(4);
     auto runs = multiRestart(
-        nm, shiftedQuadratic, 6,
+        cob, shiftedQuadratic, 6,
         [](Rng &r) {
             return std::vector<double>{r.uniform(-3, 3), r.uniform(-3, 3)};
         },
@@ -178,9 +133,7 @@ TEST(RandomSearch, ExploresHigherDepth)
 
 TEST(OptimizerNames, AreStable)
 {
-    EXPECT_EQ(NelderMead().name(), "nelder-mead");
     EXPECT_EQ(CobylaLite().name(), "cobyla-lite");
-    EXPECT_EQ(Spsa().name(), "spsa");
 }
 
 } // namespace
