@@ -7,8 +7,6 @@
 #include <cstdint>
 #include <limits>
 
-#include "common/thread_pool.hpp"
-
 namespace redqaoa {
 
 double
@@ -101,9 +99,9 @@ class SubsetState
      *  3. when tier 2 finds S\{out} split, a BFS over the full swapped
      *     set decides whether the incoming node re-bridges it.
      * All marks live in epoch-stamped per-thread scratch (one proposal
-     * per call used to allocate three vectors), so the concurrent
-     * parallelCandidates checks stay allocation-free and deterministic
-     * — the tiers never change the answer, only the work.
+     * per call used to allocate three vectors), so the check stays
+     * allocation-free even when reductions run concurrently on pool
+     * workers — the tiers never change the answer, only the work.
      */
     bool
     connectedAfterSwap(Node out, Node incoming, int degree_in) const
@@ -337,9 +335,6 @@ SaReducer::reduce(const Graph &g, int k, Rng &rng) const
         return res;
     }
 
-    const bool parallel_candidates =
-        opts_.parallelCandidates && ThreadPool::globalThreadCount() > 1;
-
     int consecutive_rejects = 0;
     for (double t = opts_.t0; t > opts_.tf; ++res.steps) {
         for (int move = 0; move < opts_.movesPerTemperature; ++move) {
@@ -347,63 +342,21 @@ SaReducer::reduce(const Graph &g, int k, Rng &rng) const
             Node out = -1, in = -1;
             int new_edges = 0;
             bool found = false;
-            if (parallel_candidates) {
-                // Draw the whole retry budget up front (serial,
-                // deterministic), check the candidates' connectivity
-                // concurrently, and accept the first valid one in draw
-                // order. The accepted move only depends on the draws,
-                // so the chain is identical at any thread count >= 2;
-                // it can differ from the 1-thread chain, which stops
-                // drawing at the first success.
-                struct Candidate
-                {
-                    Node out;
-                    Node in;
-                    int edges = 0;
-                    bool ok = false;
-                };
-                std::vector<Candidate> cands(
-                    static_cast<std::size_t>(opts_.connectivityRetries));
-                for (Candidate &c : cands) {
-                    c.out = state.members()[rng.index(
-                        state.members().size())];
-                    c.in = outside[rng.index(outside.size())];
-                }
-                parallelFor(cands.size(), [&](std::size_t i) {
-                    Candidate &c = cands[i];
-                    int d_in = state.degreeInside(c.in, c.out);
-                    c.edges = state.edges() -
-                              state.degreeInside(c.out, c.out) + d_in;
-                    c.ok = state.connectedAfterSwap(c.out, c.in, d_in);
-                });
-                for (const Candidate &c : cands) {
-                    if (c.ok) {
-                        out = c.out;
-                        in = c.in;
-                        new_edges = c.edges;
-                        found = true;
-                        break;
-                    }
-                }
-            } else {
-                for (int attempt = 0;
-                     attempt < opts_.connectivityRetries; ++attempt) {
-                    Node cand_out = state.members()[rng.index(
-                        state.members().size())];
-                    Node cand_in = outside[rng.index(outside.size())];
-                    int d_in = state.degreeInside(cand_in, cand_out);
-                    int e_new = state.edges() -
-                                state.degreeInside(cand_out, cand_out) +
-                                d_in;
-                    if (!state.connectedAfterSwap(cand_out, cand_in,
-                                                  d_in))
-                        continue;
-                    out = cand_out;
-                    in = cand_in;
-                    new_edges = e_new;
-                    found = true;
-                    break;
-                }
+            for (int attempt = 0; attempt < opts_.connectivityRetries;
+                 ++attempt) {
+                Node cand_out =
+                    state.members()[rng.index(state.members().size())];
+                Node cand_in = outside[rng.index(outside.size())];
+                int d_in = state.degreeInside(cand_in, cand_out);
+                int e_new = state.edges() -
+                            state.degreeInside(cand_out, cand_out) + d_in;
+                if (!state.connectedAfterSwap(cand_out, cand_in, d_in))
+                    continue;
+                out = cand_out;
+                in = cand_in;
+                new_edges = e_new;
+                found = true;
+                break;
             }
             if (!found) {
                 ++res.rejected;

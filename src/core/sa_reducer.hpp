@@ -32,17 +32,6 @@ struct SaOptions
     int rejectWindow = 8;  //!< Rejection count normalizer (adaptive).
     int movesPerTemperature = 4; //!< Neighbor proposals per T step.
     int connectivityRetries = 16; //!< Resamples for a connected neighbor.
-    /**
-     * Evaluate each move's candidate swaps concurrently on the global
-     * thread pool. Off by default: the annealing chain then consumes
-     * RNG draws exactly like the historical serial loop at every
-     * thread count, so results never depend on the host's core count.
-     * Enable for large graphs where the per-candidate connectivity
-     * BFS dominates; the chain is then deterministic for any pool
-     * size >= 2 but differs from the serial chain (the full retry
-     * budget is drawn up front instead of stopping at the first hit).
-     */
-    bool parallelCandidates = false;
 };
 
 /** Outcome of one annealing run. */
@@ -64,9 +53,8 @@ class SaReducer
     /**
      * Run the annealer for a size-@p k connected subgraph of @p g.
      * Requires 1 <= k <= |V| and a connected component of size >= k.
-     * See SaOptions::parallelCandidates for the concurrent
-     * candidate-evaluation mode; by default the proposal loop is the
-     * historical serial one regardless of the pool size.
+     * The chain is serial and consumes @p rng identically at every
+     * thread count, so results never depend on the host's core count.
      */
     SaResult reduce(const Graph &g, int k, Rng &rng) const;
 

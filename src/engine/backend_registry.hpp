@@ -7,10 +7,10 @@
  * optional ArtifactCache so engine-built evaluators share per-graph
  * tables while standalone construction stays dependency-free.
  *
- * makeEvaluator(g, spec) is the one public construction path — the
- * historical makeIdealEvaluator / makeNoisyEvaluator helpers and every
- * hand-rolled constructor call in examples and bench figures route
- * through it (satellite: one policy, one place; see resolveBackend()).
+ * makeEvaluator(g, spec) is the one public construction path; examples
+ * and bench figures route through it rather than calling evaluator
+ * constructors, so the selection policy lives in one place (see
+ * resolveBackend()).
  */
 
 #ifndef REDQAOA_ENGINE_BACKEND_REGISTRY_HPP

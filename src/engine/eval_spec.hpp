@@ -42,7 +42,7 @@ struct EvalSpec
      * Auto policy: graphs at or below this many nodes use the exact
      * statevector; above it, the closed form at p = 1 and otherwise
      * the light-cone evaluator, for which this value doubles as the
-     * cone cap (the historical makeIdealEvaluator contract).
+     * cone cap.
      */
     int exactQubitLimit = 16;
     NoiseModel noise;     //!< Non-ideal noise selects Trajectory in Auto.
@@ -57,7 +57,7 @@ struct EvalSpec
      * Noisy trajectory evaluation under @p nm. Pins the Trajectory
      * backend (not Auto): asking for noisy evaluation means trajectory
      * averaging and shot sampling even when every channel of @p nm is
-     * trivial — the historical makeNoisyEvaluator contract.
+     * trivial.
      */
     static EvalSpec noisy(const NoiseModel &nm, int p = 1,
                           int trajectories = 48, std::uint64_t seed = 99,

@@ -76,6 +76,12 @@ TraceRecorder::finish()
     totalUs_ = elapsedUs(start_);
 }
 
+void
+TraceRecorder::finish(std::int64_t total_us)
+{
+    totalUs_ = total_us;
+}
+
 json::Value
 TraceRecorder::toJson() const
 {

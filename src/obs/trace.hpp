@@ -92,6 +92,9 @@ class TraceRecorder
     /** Close the trace; total becomes time since creation. */
     void finish();
 
+    /** Close the trace with an explicit total (no clock read). */
+    void finish(std::int64_t total_us);
+
     std::int64_t totalUs() const { return totalUs_; }
     const std::vector<TraceSpan> &spans() const { return spans_; }
     std::vector<TraceSpan> &spans() { return spans_; }

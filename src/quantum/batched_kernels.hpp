@@ -10,23 +10,20 @@
  * state — same operations, same order, no fused multiply-add — so a
  * batched sweep is bit-identical to running the lanes one at a time.
  *
- * Two implementations are provided:
- *  - scalar: plain loops over the lane dimension (the portable
- *    fallback; the lane loops are trivially auto-vectorizable and any
- *    auto-vectorization is value-preserving because the per-lane
- *    operations are independent IEEE mul/add/sub);
- *  - AVX2: explicit 4-wide double vectors (two per lane plane). The
- *    AVX2 translation unit is compiled with -mavx2 and deliberately
- *    WITHOUT -mfma: the rest of the library targets baseline x86-64
- *    where the compiler cannot contract a*b+c into fma(a,b,c), and the
- *    bit-identity contract requires the SIMD lanes to round exactly
- *    like the scalar path.
+ * The kernels have one source, batched_lane_kernels.hpp, written with
+ * GCC/Clang vector types and compiled for two ISAs:
+ *  - scalar: the baseline-target build (batched_state.cpp), always
+ *    available; the compiler lowers each 4-double vector to the
+ *    widest vectors the baseline target has;
+ *  - avx2: the same source built with -mavx2 in its own TU
+ *    (batched_kernels_avx2.cpp), deliberately WITHOUT -mfma: the rest
+ *    of the library targets baseline x86-64 where the compiler cannot
+ *    contract a*b+c into fma(a,b,c), and the bit-identity contract
+ *    requires the SIMD lanes to round exactly like the scalar path.
  *
- * Selection: activeKernels() picks AVX2 when it was compiled in and the
- * CPU reports support, unless REDQAOA_BATCHED_KERNELS=scalar (or
- * =avx2, which insists and falls back with a note to stderr when
- * unavailable). forceKernels() lets tests and benchmarks pin a specific
- * implementation mid-process.
+ * Selection: activeKernels() picks avx2 when it was compiled in and the
+ * CPU reports support, else scalar. forceKernels() lets tests and
+ * benchmarks pin a specific table mid-process.
  */
 
 #ifndef REDQAOA_QUANTUM_BATCHED_KERNELS_HPP
@@ -77,7 +74,7 @@ struct KernelOps
                    std::size_t end, double *acc);
 };
 
-/** The portable lane-loop implementation (always available). */
+/** The baseline-ISA build of the lane kernels (always available). */
 const KernelOps &scalarKernels();
 
 /**

@@ -1,150 +1,35 @@
 /**
  * @file
- * AVX2 lane kernels for BatchedStateSet.
+ * The "avx2" KernelOps table: batched_lane_kernels.hpp compiled for
+ * AVX2.
  *
  * This TU is the only one compiled with -mavx2 (CMake sets the flag
  * plus REDQAOA_AVX2_BUILD when the compiler supports it) and it is
  * compiled WITHOUT -mfma on purpose: the rest of the library targets
- * baseline x86-64, where GCC's default -ffp-contract=fast has no FMA
- * instruction to contract into, so scalar mul+add rounds twice.
- * Matching that bit-for-bit from SIMD code requires sticking to
- * mul/add/sub intrinsics — one rounding per operation, exactly like
- * the scalar kernels. Do not add -mfma or _mm256_fmadd_pd here.
- *
- * Layout recap (batched_kernels.hpp): kBatchLanes = 8 lanes per
- * amplitude, so each plane row is two __m256d vectors.
+ * baseline x86-64, where there is no FMA instruction to contract
+ * a*b+c into, so scalar mul+add rounds twice. With -mfma the compiler
+ * could fuse the vector mul+add here and break the bit-identity
+ * contract. Do not add -mfma.
  */
 
 #include "quantum/batched_kernels.hpp"
 
 #if defined(REDQAOA_AVX2_BUILD) && defined(__AVX2__)
 
-#include <immintrin.h>
+#include "quantum/batched_lane_kernels.hpp"
 
 namespace redqaoa {
 namespace batched {
-
-namespace {
-
-static_assert(kBatchLanes == 8,
-              "AVX2 kernels assume 8 lanes (2 x 4 doubles)");
-
-void
-phaseAvx2(double *re, double *im, const std::int32_t *codes,
-          std::size_t begin, std::size_t end, const double *pre,
-          const double *pim)
-{
-    for (std::size_t i = begin; i < end; ++i) {
-        const std::size_t c = static_cast<std::size_t>(codes[i]) * 8;
-        double *r = re + i * 8;
-        double *m = im + i * 8;
-        const __m256d ar0 = _mm256_loadu_pd(r);
-        const __m256d ar1 = _mm256_loadu_pd(r + 4);
-        const __m256d ai0 = _mm256_loadu_pd(m);
-        const __m256d ai1 = _mm256_loadu_pd(m + 4);
-        const __m256d br0 = _mm256_loadu_pd(pre + c);
-        const __m256d br1 = _mm256_loadu_pd(pre + c + 4);
-        const __m256d bi0 = _mm256_loadu_pd(pim + c);
-        const __m256d bi1 = _mm256_loadu_pd(pim + c + 4);
-        // (ar*br - ai*bi, ar*bi + ai*br): the complex product with one
-        // rounding per mul/sub/add, like the scalar kernel.
-        _mm256_storeu_pd(r, _mm256_sub_pd(_mm256_mul_pd(ar0, br0),
-                                          _mm256_mul_pd(ai0, bi0)));
-        _mm256_storeu_pd(r + 4, _mm256_sub_pd(_mm256_mul_pd(ar1, br1),
-                                              _mm256_mul_pd(ai1, bi1)));
-        _mm256_storeu_pd(m, _mm256_add_pd(_mm256_mul_pd(ar0, bi0),
-                                          _mm256_mul_pd(ai0, br0)));
-        _mm256_storeu_pd(m + 4, _mm256_add_pd(_mm256_mul_pd(ar1, bi1),
-                                              _mm256_mul_pd(ai1, br1)));
-    }
-}
-
-void
-rxPairsAvx2(double *re, double *im, std::size_t pair_begin,
-            std::size_t pair_end, std::size_t step, const double *c,
-            const double *s)
-{
-    const __m256d c0 = _mm256_loadu_pd(c);
-    const __m256d c1 = _mm256_loadu_pd(c + 4);
-    const __m256d s0 = _mm256_loadu_pd(s);
-    const __m256d s1 = _mm256_loadu_pd(s + 4);
-    const std::size_t mask = step - 1;
-    for (std::size_t p = pair_begin; p < pair_end; ++p) {
-        const std::size_t i = ((p & ~mask) << 1) | (p & mask);
-        double *r0 = re + i * 8;
-        double *m0 = im + i * 8;
-        double *r1 = re + (i + step) * 8;
-        double *m1 = im + (i + step) * 8;
-        const __m256d re0a = _mm256_loadu_pd(r0);
-        const __m256d re0b = _mm256_loadu_pd(r0 + 4);
-        const __m256d im0a = _mm256_loadu_pd(m0);
-        const __m256d im0b = _mm256_loadu_pd(m0 + 4);
-        const __m256d re1a = _mm256_loadu_pd(r1);
-        const __m256d re1b = _mm256_loadu_pd(r1 + 4);
-        const __m256d im1a = _mm256_loadu_pd(m1);
-        const __m256d im1b = _mm256_loadu_pd(m1 + 4);
-        // The rxButterfly body: a0 <- (c*re0 + s*im1, c*im0 - s*re1),
-        // a1 <- (c*re1 + s*im0, c*im1 - s*re0).
-        _mm256_storeu_pd(r0, _mm256_add_pd(_mm256_mul_pd(c0, re0a),
-                                           _mm256_mul_pd(s0, im1a)));
-        _mm256_storeu_pd(r0 + 4, _mm256_add_pd(_mm256_mul_pd(c1, re0b),
-                                               _mm256_mul_pd(s1, im1b)));
-        _mm256_storeu_pd(m0, _mm256_sub_pd(_mm256_mul_pd(c0, im0a),
-                                           _mm256_mul_pd(s0, re1a)));
-        _mm256_storeu_pd(m0 + 4, _mm256_sub_pd(_mm256_mul_pd(c1, im0b),
-                                               _mm256_mul_pd(s1, re1b)));
-        _mm256_storeu_pd(r1, _mm256_add_pd(_mm256_mul_pd(c0, re1a),
-                                           _mm256_mul_pd(s0, im0a)));
-        _mm256_storeu_pd(r1 + 4, _mm256_add_pd(_mm256_mul_pd(c1, re1b),
-                                               _mm256_mul_pd(s1, im0b)));
-        _mm256_storeu_pd(m1, _mm256_sub_pd(_mm256_mul_pd(c0, im1a),
-                                           _mm256_mul_pd(s0, re0a)));
-        _mm256_storeu_pd(m1 + 4, _mm256_sub_pd(_mm256_mul_pd(c1, im1b),
-                                               _mm256_mul_pd(s1, re0b)));
-    }
-}
-
-void
-expectAvx2(const double *re, const double *im, const std::int32_t *codes,
-           std::size_t begin, std::size_t end, double *acc)
-{
-    __m256d acc0 = _mm256_loadu_pd(acc);
-    __m256d acc1 = _mm256_loadu_pd(acc + 4);
-    for (std::size_t i = begin; i < end; ++i) {
-        const __m256d code =
-            _mm256_set1_pd(static_cast<double>(codes[i]));
-        const double *r = re + i * 8;
-        const double *m = im + i * 8;
-        const __m256d r0 = _mm256_loadu_pd(r);
-        const __m256d r1 = _mm256_loadu_pd(r + 4);
-        const __m256d m0 = _mm256_loadu_pd(m);
-        const __m256d m1 = _mm256_loadu_pd(m + 4);
-        // acc += ((r*r) + (m*m)) * code — per-lane rounding order of
-        // the scalar loop (norm, then code product, then running add).
-        const __m256d n0 = _mm256_add_pd(_mm256_mul_pd(r0, r0),
-                                         _mm256_mul_pd(m0, m0));
-        const __m256d n1 = _mm256_add_pd(_mm256_mul_pd(r1, r1),
-                                         _mm256_mul_pd(m1, m1));
-        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(n0, code));
-        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(n1, code));
-    }
-    _mm256_storeu_pd(acc, acc0);
-    _mm256_storeu_pd(acc + 4, acc1);
-}
-
-} // namespace
-
 namespace detail {
 
 const KernelOps *
 avx2KernelsBuild()
 {
-    static const KernelOps ops{"avx2", phaseAvx2, rxPairsAvx2, expectAvx2};
+    static const KernelOps ops{"avx2", lanePhase, laneRxPairs, laneExpect};
     return &ops;
 }
 
 } // namespace detail
-
 } // namespace batched
 } // namespace redqaoa
 

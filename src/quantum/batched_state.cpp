@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
-#include <string_view>
 
 #include "common/thread_pool.hpp"
+#include "quantum/batched_lane_kernels.hpp"
 #include "quantum/maxcut.hpp"
 #include "quantum/statevector.hpp"
 
@@ -16,74 +14,6 @@ namespace batched {
 
 namespace {
 
-constexpr int kL = kBatchLanes;
-
-/**
- * Scalar kernels: a plain lane loop per amplitude. Each lane performs
- * the exact operation sequence of the corresponding scalar
- * Statevector kernel (see the header contract); the lane iterations
- * are independent, so compiler auto-vectorization cannot change
- * values.
- */
-void
-phaseScalar(double *re, double *im, const std::int32_t *codes,
-            std::size_t begin, std::size_t end, const double *pre,
-            const double *pim)
-{
-    for (std::size_t i = begin; i < end; ++i) {
-        const std::size_t c = static_cast<std::size_t>(codes[i]) *
-                              static_cast<std::size_t>(kL);
-        double *r = re + i * kL;
-        double *m = im + i * kL;
-        for (int l = 0; l < kL; ++l) {
-            // amp *= phase, expanded like std::complex operator*:
-            // (ar*br - ai*bi, ar*bi + ai*br), no contraction.
-            const double ar = r[l], ai = m[l];
-            const double br = pre[c + static_cast<std::size_t>(l)];
-            const double bi = pim[c + static_cast<std::size_t>(l)];
-            r[l] = ar * br - ai * bi;
-            m[l] = ar * bi + ai * br;
-        }
-    }
-}
-
-void
-rxPairsScalar(double *re, double *im, std::size_t pair_begin,
-              std::size_t pair_end, std::size_t step, const double *c,
-              const double *s)
-{
-    const std::size_t mask = step - 1;
-    for (std::size_t p = pair_begin; p < pair_end; ++p) {
-        const std::size_t i = ((p & ~mask) << 1) | (p & mask);
-        double *r0 = re + i * kL;
-        double *m0 = im + i * kL;
-        double *r1 = re + (i + step) * kL;
-        double *m1 = im + (i + step) * kL;
-        for (int l = 0; l < kL; ++l) {
-            // The rxButterfly body, per lane.
-            const double re0 = r0[l], im0 = m0[l];
-            const double re1 = r1[l], im1 = m1[l];
-            r0[l] = c[l] * re0 + s[l] * im1;
-            m0[l] = c[l] * im0 - s[l] * re1;
-            r1[l] = c[l] * re1 + s[l] * im0;
-            m1[l] = c[l] * im1 - s[l] * re0;
-        }
-    }
-}
-
-void
-expectScalar(const double *re, const double *im, const std::int32_t *codes,
-             std::size_t begin, std::size_t end, double *acc)
-{
-    for (std::size_t i = begin; i < end; ++i) {
-        const double code = static_cast<double>(codes[i]);
-        const double *r = re + i * kL;
-        const double *m = im + i * kL;
-        for (int l = 0; l < kL; ++l)
-            acc[l] += (r[l] * r[l] + m[l] * m[l]) * code;
-    }
-}
-
 const KernelOps *gForced = nullptr;
 
 } // namespace
@@ -91,8 +21,8 @@ const KernelOps *gForced = nullptr;
 const KernelOps &
 scalarKernels()
 {
-    static const KernelOps ops{"scalar", phaseScalar, rxPairsScalar,
-                               expectScalar};
+    static const KernelOps ops{"scalar", lanePhase, laneRxPairs,
+                               laneExpect};
     return ops;
 }
 
@@ -117,15 +47,7 @@ activeKernels()
     if (gForced)
         return *gForced;
     static const KernelOps *selected = [] {
-        const char *env = std::getenv("REDQAOA_BATCHED_KERNELS");
-        const std::string_view want = env ? env : "";
-        if (want == "scalar")
-            return &scalarKernels();
         const KernelOps *avx = avx2Kernels();
-        if (want == "avx2" && !avx)
-            std::fprintf(stderr,
-                         "redqaoa: REDQAOA_BATCHED_KERNELS=avx2 but AVX2"
-                         " is unavailable; using scalar kernels\n");
         return avx ? avx : &scalarKernels();
     }();
     return *selected;

@@ -1,8 +1,6 @@
 #include "quantum/evaluator.hpp"
 
 #include "common/thread_pool.hpp"
-#include "engine/backend_registry.hpp"
-#include "engine/eval_spec.hpp"
 #include "quantum/batched_state.hpp"
 
 namespace redqaoa {
@@ -41,24 +39,6 @@ ExactEvaluator::batchExpectationInto(
     const CutTable &table = *sim_.sharedTable();
     batchedCutExpectations(table.codes, table.maxCode, sim_.numQubits(),
                            points, out);
-}
-
-std::unique_ptr<CutEvaluator>
-makeIdealEvaluator(const Graph &g, int p, int exact_qubit_limit)
-{
-    // Thin wrapper over the backend registry: the selection policy
-    // itself lives in resolveBackend() (engine/eval_spec.hpp).
-    return makeEvaluator(g, EvalSpec::ideal(p, exact_qubit_limit));
-}
-
-std::unique_ptr<CutEvaluator>
-makeNoisyEvaluator(const Graph &g, const NoiseModel &nm, int trajectories,
-                   std::uint64_t seed, int shots)
-{
-    // EvalSpec::noisy pins the Trajectory backend even under a noise
-    // model whose channels are all trivial.
-    return makeEvaluator(g,
-                         EvalSpec::noisy(nm, 1, trajectories, seed, shots));
 }
 
 } // namespace redqaoa

@@ -235,23 +235,6 @@ class LightconeCutEvaluator : public CutEvaluator
     std::shared_ptr<const LightconeEvaluator> eval_;
 };
 
-/**
- * Pick the cheapest exact(ish) ideal evaluator for (graph, depth):
- * statevector below @p exact_qubit_limit qubits, the closed form at
- * p = 1, the light-cone evaluator otherwise. Thin wrapper over the
- * backend registry's Auto policy (engine/eval_spec.hpp) — prefer
- * makeEvaluator / EvalEngine::evaluator in new code.
- */
-std::unique_ptr<CutEvaluator> makeIdealEvaluator(const Graph &g, int p,
-                                                 int exact_qubit_limit = 16);
-
-/** Noisy trajectory evaluator factory (see NoisyEvaluator on shots). */
-std::unique_ptr<CutEvaluator> makeNoisyEvaluator(const Graph &g,
-                                                 const NoiseModel &nm,
-                                                 int trajectories = 48,
-                                                 std::uint64_t seed = 99,
-                                                 int shots = 0);
-
 } // namespace redqaoa
 
 #endif // REDQAOA_QUANTUM_EVALUATOR_HPP

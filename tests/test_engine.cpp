@@ -77,17 +77,13 @@ TEST(BackendRegistry, AutoPolicyMatchesHistoricalSelection)
     EXPECT_EQ(makeEvaluator(small, auto_noisy)->describe(),
               "noisy:ibmq_kolkata");
     // EvalSpec::noisy PINS Trajectory, so pipelines keep trajectory
-    // averaging and shot sampling even under an ideal noise model (the
-    // historical makeNoisyEvaluator contract).
+    // averaging and shot sampling even under an ideal noise model.
     EXPECT_EQ(makeEvaluator(small, EvalSpec::noisy(noise::ibmKolkata()))
                   ->describe(),
               "noisy:ibmq_kolkata");
     EXPECT_EQ(makeEvaluator(small, EvalSpec::noisy(noise::ideal()))
                   ->describe(),
               "noisy:ideal");
-    // And the historical helper is a thin wrapper over the same policy.
-    EXPECT_EQ(makeIdealEvaluator(large, 2)->describe(),
-              makeEvaluator(large, EvalSpec::ideal(2))->describe());
 }
 
 TEST(BackendRegistry, DuplicateRegistrationThrows)

@@ -459,7 +459,7 @@ TEST(BatchedKernels, EvaluatorBatchRoutesThroughLanes)
     }
 }
 
-TEST(BatchedKernels, EnvOverrideAndForcePinSelection)
+TEST(BatchedKernels, ForcePinAndAutomaticSelection)
 {
     KernelGuard kernels;
     // forceKernels pins; nullptr restores the automatic policy.

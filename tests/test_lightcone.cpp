@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/backend_registry.hpp"
 #include "graph/generators.hpp"
 #include "quantum/evaluator.hpp"
 #include "quantum/lightcone.hpp"
@@ -112,16 +113,19 @@ TEST(Lightcone, FactoryPicksSensibleBackends)
     Rng rng(10);
     Graph small = gen::connectedGnp(8, 0.4, rng);
     Graph large = gen::connectedGnp(40, 0.1, rng);
-    EXPECT_EQ(makeIdealEvaluator(small, 2)->describe(), "statevector");
-    EXPECT_EQ(makeIdealEvaluator(large, 1)->describe(), "analytic-p1");
-    EXPECT_EQ(makeIdealEvaluator(large, 2)->describe(), "lightcone");
+    EXPECT_EQ(makeEvaluator(small, EvalSpec::ideal(2))->describe(),
+              "statevector");
+    EXPECT_EQ(makeEvaluator(large, EvalSpec::ideal(1))->describe(),
+              "analytic-p1");
+    EXPECT_EQ(makeEvaluator(large, EvalSpec::ideal(2))->describe(),
+              "lightcone");
 }
 
 TEST(Lightcone, FactoryBackendsAgreeOnMediumGraph)
 {
     Rng rng(11);
     Graph g = gen::connectedGnp(12, 0.25, rng);
-    auto exact = makeIdealEvaluator(g, 1, 16);
+    auto exact = makeEvaluator(g, EvalSpec::ideal(1, 16));
     auto analytic = std::make_unique<AnalyticEvaluator>(g);
     auto cone = std::make_unique<LightconeCutEvaluator>(g, 1, 26);
     for (int t = 0; t < 5; ++t) {

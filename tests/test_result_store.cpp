@@ -12,7 +12,9 @@
  *  - the transfer index returns the nearest structurally similar
  *    donor, deterministically, never the requesting iso-class;
  *  - an engine attached to a warmed store serves repeat traffic from
- *    disk: bit-identical values with zero fresh evaluations.
+ *    disk: bit-identical values with zero fresh evaluations;
+ *  - the router's `warm_start` optimize seeds its first restart from a
+ *    solved donor graph in the store.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +31,8 @@
 #include "engine/result_store.hpp"
 #include "graph/generators.hpp"
 #include "graph/isomorphism.hpp"
+#include "service/protocol.hpp"
+#include "service/router.hpp"
 
 namespace redqaoa {
 namespace {
@@ -380,6 +384,50 @@ TEST(ResultStore, UnwritableDirectoryDegradesToMemoryOnly)
     double value = 0.0;
     EXPECT_TRUE(store.lookupPoint("c:k", "spec", 1, bitsOf({1.0}), value));
     EXPECT_EQ(value, 0.5);
+}
+
+/** Router `optimize` at p = 2 (3 restarts x 60 evaluations). */
+json::Value
+routerOptimize(service::ServiceRouter &router, const Graph &g, bool warm)
+{
+    service::Request req;
+    req.id = 1;
+    req.method = "optimize";
+    req.params = json::Value::object();
+    req.params["graph"] = service::graphToJson(g);
+    json::Value spec = json::Value::object();
+    spec["layers"] = 2;
+    req.params["spec"] = std::move(spec);
+    req.params["seed"] = 3;
+    req.params["warm_start"] = warm;
+    return router.dispatch(req);
+}
+
+TEST(RouterWarmStart, SeedsTheFirstRestartFromAStoredDonor)
+{
+    TempStoreDir dir;
+    auto engine = std::make_shared<EvalEngine>();
+    engine->attachStore(std::make_shared<ResultStore>(dir.str()));
+    service::ServiceRouter router(engine);
+
+    // The store holds one solved p = 2 graph: the only donor.
+    Rng rng(1);
+    Graph donor = gen::connectedGnp(10, 0.35, rng);
+    routerOptimize(router, donor, false);
+    Graph fresh = gen::connectedGnp(11, 0.35, rng);
+
+    json::Value cold = routerOptimize(router, fresh, false);
+    json::Value seeded = routerOptimize(router, fresh, true);
+    EXPECT_EQ(cold.find("seeded"), nullptr); // Only warm_start echoes it.
+    ASSERT_NE(seeded.find("seeded"), nullptr);
+    EXPECT_TRUE(seeded.find("seeded")->asBool());
+    EXPECT_EQ(seeded.find("evaluations")->asNumber(),
+              cold.find("evaluations")->asNumber());
+    // The donor start changes the answer, and not for the worse.
+    const double cold_energy = cold.find("energy")->asNumber();
+    const double seeded_energy = seeded.find("energy")->asNumber();
+    EXPECT_NE(seeded_energy, cold_energy);
+    EXPECT_GE(seeded_energy, cold_energy);
 }
 
 } // namespace

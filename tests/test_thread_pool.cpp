@@ -264,9 +264,8 @@ TEST(Determinism, BatchExpectationMatchesSerialLoop)
 
 TEST(Determinism, SaReducerDefaultChainIgnoresThreadCount)
 {
-    // With parallelCandidates off (the default) the annealing chain is
-    // the historical serial one at every pool size, so results never
-    // depend on the host machine's core count.
+    // The annealing chain is the historical serial one at every pool
+    // size, so results never depend on the host machine's core count.
     PoolGuard guard;
     Rng grng(8);
     Graph g = gen::erdosRenyiGnp(16, 0.35, grng);
@@ -280,24 +279,6 @@ TEST(Determinism, SaReducerDefaultChainIgnoresThreadCount)
     }
     EXPECT_EQ(members[0], members[1]);
     EXPECT_EQ(members[0], members[2]);
-}
-
-TEST(Determinism, SaReducerParallelCandidatesIdenticalAcrossThreadCounts)
-{
-    PoolGuard guard;
-    Rng grng(8);
-    Graph g = gen::erdosRenyiGnp(16, 0.35, grng);
-    SaOptions opts;
-    opts.parallelCandidates = true;
-    std::vector<std::vector<Node>> members;
-    for (int threads : {2, 8}) {
-        ThreadPool::setGlobalThreads(threads);
-        Rng rng(123);
-        SaReducer reducer(opts);
-        SaResult res = reducer.reduce(g, 8, rng);
-        members.push_back(res.subgraph.toOriginal);
-    }
-    EXPECT_EQ(members[0], members[1]);
 }
 
 TEST(Determinism, LightconeIdenticalAcrossMultiThreadCounts)
